@@ -2,7 +2,7 @@
 
 QCHECK_SEED ?= 20260805
 
-.PHONY: all build test lint baseline lint-baseline check bench bench-sched bench-placement bench-obs bench-lower bench-fuse bench-serve clean
+.PHONY: all build test lint baseline lint-baseline check bench bench-sched bench-placement bench-obs bench-lower bench-fuse bench-serve perf clean
 
 all: build
 
@@ -109,6 +109,15 @@ bench-fuse: build
 # if any served job's output diverges from a solo `lmc run`.
 bench-serve: build
 	dune exec bench/serve_bench.exe -- BENCH_serve.json
+
+# Host-throughput benchmark (perfbench/): one 10-second run of each
+# workload, printing its JSON result line. Not part of `check`: host
+# timing on a small shared machine is too noisy to gate a build on.
+perf:
+	@for w in kernels bytecode streams serve; do \
+	  out=$$(bash perfbench/run.sh --workload $$w --seed 201 --seconds 10 --trace 0) || exit 1; \
+	  echo "$$out" | tail -n 1; \
+	done
 
 clean:
 	dune clean

@@ -14,9 +14,11 @@ type timing = {
   avg_divergence_groups : float;
 }
 
-(* Per-lane accounting while a work item executes. *)
+(* Per-lane accounting while a work item executes. Cycles count in an
+   int: every cost below is integer-valued, so the int sum converts to
+   exactly the float sum it replaces. *)
 type lane = {
-  mutable cycles : float;
+  mutable cycles : int;
   mutable mem_bytes : int;
   mutable branch_sig : int;
 }
@@ -46,148 +48,384 @@ let binop_cycles = function
 let call_overhead = 2.0
 let mem_op_cycles = 4.0
 
+(* --- Compiling device functions to closures -------------------------
+
+   Each device function is compiled once per program, on its first
+   call, into OCaml closures over a frame of slots. Slot counts,
+   parameter slots, constants (pre-filled into slots of their own, so
+   every operand is a slot read), callees, intrinsic costs and the
+   proven/unproven array accessor of every instruction are resolved
+   then, not per lane. Each instruction stores its result straight into
+   its destination slot. The value semantics still delegate to the
+   reference interpreter's primitives: the operator fast paths for
+   [Int]/[Float] operands compute what [I.eval_binop]/[I.eval_unop]
+   would, and any other operand falls back to them, so values and trap
+   messages are unchanged. Accesses with a static bounds proof take the
+   unchecked primitives — the device-side counterpart of the unguarded
+   loads/stores in the generated OpenCL.
+
+   Cost folding: every cost above ([binop_cycles], [unop_cycles],
+   [mem_op_cycles], [call_overhead], the intrinsic and branch cycles)
+   is a small integer-valued float, counted exactly in int [ticks]. A
+   straight-line run of instructions — ended by a call, branch, loop or
+   return — therefore charges its summed cycles and memory bytes in one
+   add when it starts. A trap part-way through a run discards the whole
+   launch, so the early charge is never observed. Branch signatures
+   still update per branch, in execution order. *)
+
 exception Return of V.t
 
-(* Bounds proofs for device functions. run_map executes one lane per
-   element, so the relational analysis is memoized per (program,
-   function) — programs by physical identity, since the proofs are
-   keyed by physical instruction. A handful of programs ever coexist;
-   the cache keeps the most recent few. *)
-let proof_cache :
-    (Ir.program * (string, Ir.instr -> bool) Hashtbl.t) list ref =
-  ref []
+type code = lane -> V.t array -> unit
 
+(* A call reads its arguments from the caller's frame, at the given
+   slots, and returns the callee's result. *)
+type call = lane -> V.t array -> int array -> V.t
+
+type fn_entry = {
+  fe_func : Ir.func;
+  mutable fe_run : call;  (** compiles the body on its first call *)
+}
+
+type callee = Fn of fn_entry | Intrinsic of string | Missing
+
+(* Compiled functions of one program, keyed by physical program
+   identity: the bounds proofs the compilation consumes are keyed by
+   physical instruction. A handful of programs ever coexist; the cache
+   keeps the most recent few. *)
+type compiled = { c_prog : Ir.program; c_fns : (string, callee) Hashtbl.t }
+
+let cache : compiled list ref = ref []
 let max_cached_programs = 8
 
-let prover_for (prog : Ir.program) (key : string) : Ir.instr -> bool =
-  let tbl =
-    match List.find_opt (fun (p, _) -> p == prog) !proof_cache with
-    | Some (_, tbl) -> tbl
-    | None ->
-      let tbl = Hashtbl.create 16 in
-      proof_cache :=
-        (prog, tbl)
-        :: (if List.length !proof_cache >= max_cached_programs then
-              List.filteri (fun i _ -> i < max_cached_programs - 1) !proof_cache
-            else !proof_cache);
-      tbl
-  in
-  match Hashtbl.find_opt tbl key with
-  | Some p -> p
+let compiled_for (prog : Ir.program) : compiled =
+  match List.find_opt (fun c -> c.c_prog == prog) !cache with
+  | Some c -> c
   | None ->
-    let p =
-      match Ir.find_func prog key with
-      | None -> fun _ -> false
-      | Some fn ->
-        Analysis.Symbolic.fn_prover (Analysis.Symbolic.analyze_fn prog fn)
-    in
-    Hashtbl.add tbl key p;
-    p
+    let c = { c_prog = prog; c_fns = Hashtbl.create 16 } in
+    cache :=
+      c
+      :: (if List.length !cache >= max_cached_programs then
+            List.filteri (fun i _ -> i < max_cached_programs - 1) !cache
+          else !cache);
+    c
 
-(* Execute [fn key] for one work item, charging the lane. The value
-   semantics delegate to the reference interpreter's primitives.
-   Accesses with a static bounds proof take the unchecked primitives —
-   the device-side counterpart of the unguarded loads/stores in the
-   generated OpenCL. *)
-let exec_lane (prog : Ir.program) (lane : lane) (key : string)
-    (args : V.t list) : V.t =
-  let rec call key args =
-    if Lime_ir.Intrinsics.is_intrinsic key then begin
-      lane.cycles <- lane.cycles +. Lime_ir.Intrinsics.device_cycles key;
-      match Lime_ir.Intrinsics.apply key args with
-      | v -> v
-      | exception Lime_ir.Intrinsics.Error m -> fail "%s" m
-    end
-    else
-    let fn =
-      match Ir.find_func prog key with
-      | Some f -> f
-      | None -> fail "no device function %s" key
+(* A cost in whole cycles; exact, since every cost is integer-valued. *)
+let ticks (c : float) =
+  if not (Float.is_integer c) then invalid_arg "Simt.ticks: fractional cost";
+  int_of_float c
+
+(* [Wire.Value.f32], restated so the float fast paths below inline it:
+   dev builds compile libraries [-opaque], without cross-module
+   inlining. The workload tests hold GPU results bit-identical to the
+   bytecode VM's, which rounds with [Wire.Value.f32]. *)
+let round32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
+let vtrue = V.Bool true
+let vfalse = V.Bool false
+let vbool b = if b then vtrue else vfalse
+
+(* [s.(d) <- op s.(x)], specialised by operator. *)
+let unop_into (op : Ir.unop) d x : code =
+  let slow = I.eval_unop op in
+  match op with
+  | Ir.Neg_f ->
+    fun _ s ->
+      s.(d) <- (match s.(x) with V.Float a -> V.Float (round32 (-.a)) | a -> slow a)
+  | Ir.I2f ->
+    fun _ s ->
+      s.(d) <-
+        (match s.(x) with V.Int a -> V.Float (round32 (float_of_int a)) | a -> slow a)
+  | Ir.Neg_i | Ir.Not_b | Ir.Bnot_i -> fun _ s -> s.(d) <- slow s.(x)
+
+(* [s.(d) <- s.(x) op s.(y)], specialised by operator: the common
+   operand shape takes [fast], any other falls back to the reference
+   primitive. Each helper binds [slow] before returning its closure,
+   which keeps the closure a genuine two-argument function rather than
+   a curried partial application of the helper. *)
+let binop_into (op : Ir.binop) d x y : code =
+  let ints fast =
+    let slow = I.eval_binop op in
+    fun _ s ->
+      s.(d) <- (match s.(x), s.(y) with V.Int a, V.Int b -> fast a b | a, b -> slow a b)
+  in
+  let floats fast =
+    let slow = I.eval_binop op in
+    fun _ s ->
+      s.(d) <-
+        (match s.(x), s.(y) with V.Float a, V.Float b -> fast a b | a, b -> slow a b)
+  in
+  let bools fast =
+    let slow = I.eval_binop op in
+    fun _ s ->
+      s.(d) <-
+        (match s.(x), s.(y) with V.Bool a, V.Bool b -> fast a b | a, b -> slow a b)
+  in
+  match op with
+  | Ir.Add_i -> ints (fun a b -> V.Int (V.add32 a b))
+  | Ir.Sub_i -> ints (fun a b -> V.Int (V.sub32 a b))
+  | Ir.Mul_i -> ints (fun a b -> V.Int (V.mul32 a b))
+  | Ir.Shl_i -> ints (fun a b -> V.Int (V.shl32 a b))
+  | Ir.Shr_i -> ints (fun a b -> V.Int (V.shr32 a b))
+  | Ir.And_i -> ints (fun a b -> V.Int (a land b))
+  | Ir.Eq -> ints (fun a b -> vbool (a = b))
+  | Ir.Neq -> ints (fun a b -> vbool (a <> b))
+  | Ir.Lt_i -> ints (fun a b -> vbool (a < b))
+  | Ir.Leq_i -> ints (fun a b -> vbool (a <= b))
+  | Ir.Gt_i -> ints (fun a b -> vbool (a > b))
+  | Ir.Geq_i -> ints (fun a b -> vbool (a >= b))
+  | Ir.Add_f -> floats (fun a b -> V.Float (round32 (a +. b)))
+  | Ir.Sub_f -> floats (fun a b -> V.Float (round32 (a -. b)))
+  | Ir.Mul_f -> floats (fun a b -> V.Float (round32 (a *. b)))
+  | Ir.Div_f -> floats (fun a b -> V.Float (round32 (a /. b)))
+  | Ir.Lt_f -> floats (fun a b -> vbool (a < b))
+  | Ir.Leq_f -> floats (fun a b -> vbool (a <= b))
+  | Ir.Gt_f -> floats (fun a b -> vbool (a > b))
+  | Ir.Geq_f -> floats (fun a b -> vbool (a >= b))
+  | Ir.And_b -> bools (fun a b -> vbool (a && b))
+  | Ir.Or_b -> bools (fun a b -> vbool (a || b))
+  | Ir.Xor_b -> bools (fun a b -> vbool (a <> b))
+  | Ir.Div_i | Ir.Rem_i | Ir.Rem_f | Ir.Or_i | Ir.Xor_i | Ir.And_bit
+  | Ir.Or_bit | Ir.Xor_bit ->
+    let slow = I.eval_binop op in
+    fun _ s -> s.(d) <- slow s.(x) s.(y)
+
+(* Per-function compilation state: slots past the function's variables
+   hold its constants and the discarded results of [I_do]. *)
+type env = {
+  e_compiled : compiled;
+  e_proven : Ir.instr -> bool;
+  mutable e_slots : int;
+  mutable e_consts : (int * V.t) list;
+}
+
+let extra_slot env v =
+  let i = env.e_slots in
+  env.e_slots <- i + 1;
+  if v != V.Unit then env.e_consts <- (i, v) :: env.e_consts;
+  i
+
+let slot env (o : Ir.operand) =
+  match o with
+  | Ir.O_var v -> v.Ir.v_id
+  | Ir.O_const k -> extra_slot env (I.const_value k)
+
+(* Whether an instruction ends a straight-line run, and the static
+   (cycles, mem bytes) it adds to its run; calls charge themselves. *)
+let instr_cost (i : Ir.instr) : bool * (int * int) =
+  let rhs_cost (r : Ir.rhs) =
+    match r with
+    | Ir.R_unop (op, _) -> ticks (unop_cycles op), 0
+    | Ir.R_binop (op, _, _) -> ticks (binop_cycles op), 0
+    | Ir.R_alen _ -> 1, 0
+    | Ir.R_aload _ -> ticks mem_op_cycles, 4
+    | Ir.R_op _ | Ir.R_call _ | Ir.R_newarr _ | Ir.R_freeze _ | Ir.R_newobj _
+    | Ir.R_field _ | Ir.R_map _ | Ir.R_reduce _ | Ir.R_mkgraph _ ->
+      0, 0
+  in
+  match i with
+  | Ir.I_let (_, r) | Ir.I_set (_, r) | Ir.I_do r ->
+    (match r with Ir.R_call _ -> true | _ -> false), rhs_cost r
+  | Ir.I_astore _ -> false, (ticks mem_op_cycles, 4)
+  | Ir.I_if _ -> true, (1, 0)
+  | Ir.I_while _ | Ir.I_return _ -> true, (0, 0)
+  | Ir.I_setfield _ | Ir.I_run_graph _ -> false, (0, 0)
+
+let rec seq (codes : code list) : code =
+  match codes with
+  | [] -> fun _ _ -> ()
+  | [ a ] -> a
+  | [ a; b ] ->
+    fun lane s ->
+      a lane s;
+      b lane s
+  | [ a; b; c ] ->
+    fun lane s ->
+      a lane s;
+      b lane s;
+      c lane s
+  | a :: b :: c :: rest ->
+    let rest = seq rest in
+    fun lane s ->
+      a lane s;
+      b lane s;
+      c lane s;
+      rest lane s
+
+let rec resolve (c : compiled) (key : string) : callee =
+  match Hashtbl.find_opt c.c_fns key with
+  | Some callee -> callee
+  | None ->
+    let callee =
+      if Lime_ir.Intrinsics.is_intrinsic key then Intrinsic key
+      else
+        match Ir.find_func c.c_prog key with
+        | None -> Missing
+        | Some fn ->
+          let rec fe =
+            {
+              fe_func = fn;
+              fe_run =
+                (fun lane src args ->
+                  let run = compile_fn c fe in
+                  fe.fe_run <- run;
+                  run lane src args);
+            }
+          in
+          Fn fe
     in
-    lane.cycles <- lane.cycles +. call_overhead;
-    let proven = prover_for prog key in
-    let slots = Array.make (Ir.var_slot_count fn) V.Unit in
-    List.iteri
-      (fun i a ->
-        let p = List.nth fn.fn_params i in
-        slots.(p.Ir.v_id) <- a)
-      args;
-    match exec_block proven slots fn.fn_body with
+    Hashtbl.add c.c_fns key callee;
+    callee
+
+(* [invoke c key] is the call of [key]; the arity is checked once per
+   call against the compiled parameter array. *)
+and invoke (c : compiled) (key : string) : call =
+  match resolve c key with
+  | Missing -> fun _ _ _ -> fail "no device function %s" key
+  | Intrinsic key ->
+    let cycles = ticks (Lime_ir.Intrinsics.device_cycles key) in
+    let apply = Lime_ir.Intrinsics.apply key in
+    fun lane src args ->
+      lane.cycles <- lane.cycles + cycles;
+      (match apply (Array.fold_right (fun i acc -> src.(i) :: acc) args []) with
+      | v -> v
+      | exception Lime_ir.Intrinsics.Error m -> fail "%s" m)
+  | Fn fe ->
+    let arity = List.length fe.fe_func.Ir.fn_params in
+    fun lane src args ->
+      if Array.length args <> arity then
+        fail "%s expects %d argument(s), got %d" key arity (Array.length args);
+      fe.fe_run lane src args
+
+and compile_fn (c : compiled) (fe : fn_entry) : call =
+  let fn = fe.fe_func in
+  let env =
+    {
+      e_compiled = c;
+      e_proven =
+        Analysis.Symbolic.fn_prover (Analysis.Symbolic.analyze_fn c.c_prog fn);
+      e_slots = Ir.var_slot_count fn;
+      e_consts = [];
+    }
+  in
+  let body = compile_block env ~pre:(ticks call_overhead) fn.Ir.fn_body in
+  let frame = Array.make env.e_slots V.Unit in
+  List.iter (fun (i, v) -> frame.(i) <- v) env.e_consts;
+  let params =
+    Array.of_list (List.map (fun (p : Ir.var) -> p.Ir.v_id) fn.fn_params)
+  in
+  let ret_unit = fn.fn_ret = Ir.Unit in
+  fun lane src args ->
+    let s = Array.copy frame in
+    for i = 0 to Array.length params - 1 do
+      s.(params.(i)) <- src.(args.(i))
+    done;
+    match body lane s with
     | () ->
-      if fn.fn_ret = Ir.Unit then V.Unit
-      else fail "%s fell off the end on the device" key
+      if ret_unit then V.Unit
+      else fail "%s fell off the end on the device" fn.fn_key
     | exception Return v -> v
-  and operand slots (o : Ir.operand) =
-    match o with
-    | Ir.O_const c -> I.const_value c
-    | Ir.O_var v -> slots.(v.Ir.v_id)
-  and exec_block proven slots b = List.iter (exec_instr proven slots) b
-  and exec_instr proven slots (i : Ir.instr) =
-    match i with
-    | Ir.I_let (v, r) | Ir.I_set (v, r) ->
-      slots.(v.Ir.v_id) <- eval_rhs ~unguarded:(proven i) slots r
-    | Ir.I_astore (a, idx, x) -> (
-      lane.cycles <- lane.cycles +. mem_op_cycles;
-      match operand slots idx with
-      | V.Int i_ ->
-        let arr = operand slots a in
-        lane.mem_bytes <- lane.mem_bytes + 4;
-        (if proven i then I.array_set_unchecked else I.array_set)
-          arr i_ (operand slots x)
+
+(* A block is a sequence of straight-line runs, each charged once. *)
+and compile_block env ?(pre = 0) (b : Ir.block) : code =
+  let charged cycles bytes run =
+    let k = seq (List.rev run) in
+    if cycles = 0 && bytes = 0 then k
+    else fun lane s ->
+      lane.cycles <- lane.cycles + cycles;
+      lane.mem_bytes <- lane.mem_bytes + bytes;
+      k lane s
+  in
+  (* [run] holds the current run's code, latest first *)
+  let rec go cycles bytes run (b : Ir.block) =
+    match b with
+    | [] ->
+      if run = [] && cycles = 0 && bytes = 0 then []
+      else [ charged cycles bytes run ]
+    | i :: rest ->
+      let ends_run, (cy, by) = instr_cost i in
+      let code = compile_instr env i in
+      if ends_run then
+        charged (cycles + cy) (bytes + by) (code :: run) :: go 0 0 [] rest
+      else go (cycles + cy) (bytes + by) (code :: run) rest
+  in
+  seq (go pre 0 [] b)
+
+and compile_instr env (i : Ir.instr) : code =
+  match i with
+  | Ir.I_let (v, r) | Ir.I_set (v, r) ->
+    assign env ~unguarded:(env.e_proven i) v.Ir.v_id r
+  | Ir.I_do r -> assign env ~unguarded:(env.e_proven i) (extra_slot env V.Unit) r
+  | Ir.I_astore (a, idx, x) ->
+    let a = slot env a and idx = slot env idx and x = slot env x in
+    let set = if env.e_proven i then I.array_set_unchecked else I.array_set in
+    fun _ s -> (
+      match s.(idx) with
+      | V.Int i -> set s.(a) i s.(x)
       | _ -> fail "non-integer index")
-    | Ir.I_setfield _ -> fail "field write on the device"
-    | Ir.I_if (c, a, b) -> (
-      match operand slots c with
-      | V.Bool cond ->
-        lane.branch_sig <- (lane.branch_sig * 31) + if cond then 1 else 2;
-        lane.cycles <- lane.cycles +. 1.0;
-        exec_block proven slots (if cond then a else b)
+  | Ir.I_setfield _ -> fun _ _ -> fail "field write on the device"
+  | Ir.I_if (cond, a, b) ->
+    let cond = slot env cond in
+    let a = compile_block env a and b = compile_block env b in
+    fun lane s -> (
+      match s.(cond) with
+      | V.Bool true ->
+        lane.branch_sig <- (lane.branch_sig * 31) + 1;
+        a lane s
+      | V.Bool false ->
+        lane.branch_sig <- (lane.branch_sig * 31) + 2;
+        b lane s
       | _ -> fail "non-boolean condition")
-    | Ir.I_while (cond_block, cond_op, body) ->
-      let rec loop () =
-        exec_block proven slots cond_block;
-        match operand slots cond_op with
+  | Ir.I_while (cond_block, cond, body) ->
+    (* the 1-cycle test is charged with the condition's first run *)
+    let cond_block = compile_block env ~pre:1 cond_block in
+    let cond = slot env cond in
+    let body = compile_block env body in
+    fun lane s ->
+      let looping = ref true in
+      while !looping do
+        cond_block lane s;
+        match s.(cond) with
         | V.Bool true ->
           lane.branch_sig <- (lane.branch_sig * 31) + 1;
-          lane.cycles <- lane.cycles +. 1.0;
-          exec_block proven slots body;
-          loop ()
+          body lane s
         | V.Bool false ->
           lane.branch_sig <- (lane.branch_sig * 31) + 2;
-          lane.cycles <- lane.cycles +. 1.0
+          looping := false
         | _ -> fail "non-boolean loop condition"
-      in
-      loop ()
-    | Ir.I_return (Some o) -> raise (Return (operand slots o))
-    | Ir.I_return None -> raise (Return V.Unit)
-    | Ir.I_run_graph _ -> fail "nested graph on the device"
-    | Ir.I_do r -> ignore (eval_rhs ~unguarded:(proven i) slots r)
-  and eval_rhs ~unguarded slots (r : Ir.rhs) : V.t =
-    match r with
-    | Ir.R_op o -> operand slots o
-    | Ir.R_unop (op, a) ->
-      lane.cycles <- lane.cycles +. unop_cycles op;
-      I.eval_unop op (operand slots a)
-    | Ir.R_binop (op, a, b) ->
-      lane.cycles <- lane.cycles +. binop_cycles op;
-      I.eval_binop op (operand slots a) (operand slots b)
-    | Ir.R_alen a ->
-      lane.cycles <- lane.cycles +. 1.0;
-      V.Int (I.array_length (operand slots a))
-    | Ir.R_aload (a, i) -> (
-      lane.cycles <- lane.cycles +. mem_op_cycles;
-      match operand slots i with
-      | V.Int i ->
-        let arr = operand slots a in
-        lane.mem_bytes <- lane.mem_bytes + 4;
-        (if unguarded then I.array_get_unchecked else I.array_get) arr i
+      done
+  | Ir.I_return (Some o) ->
+    let o = slot env o in
+    fun _ s -> raise (Return s.(o))
+  | Ir.I_return None -> fun _ _ -> raise (Return V.Unit)
+  | Ir.I_run_graph _ -> fun _ _ -> fail "nested graph on the device"
+
+(* [s.(d) <- r] *)
+and assign env ~unguarded d (r : Ir.rhs) : code =
+  match r with
+  | Ir.R_op o ->
+    let x = slot env o in
+    fun _ s -> s.(d) <- s.(x)
+  | Ir.R_unop (op, a) -> unop_into op d (slot env a)
+  | Ir.R_binop (op, a, b) ->
+    let a = slot env a in
+    binop_into op d a (slot env b)
+  | Ir.R_alen a ->
+    let a = slot env a in
+    fun _ s -> s.(d) <- V.Int (I.array_length s.(a))
+  | Ir.R_aload (a, idx) ->
+    let a = slot env a and idx = slot env idx in
+    let get = if unguarded then I.array_get_unchecked else I.array_get in
+    fun _ s -> (
+      match s.(idx) with
+      | V.Int i -> s.(d) <- get s.(a) i
       | _ -> fail "non-integer index")
-    | Ir.R_call (key, args) -> call key (List.map (operand slots) args)
-    | Ir.R_newarr _ | Ir.R_freeze _ | Ir.R_newobj _ | Ir.R_field _
-    | Ir.R_map _ | Ir.R_reduce _ | Ir.R_mkgraph _ ->
-      fail "construct not supported on the device (should be excluded)"
-  in
-  call key args
+  | Ir.R_call (key, args) ->
+    let call = invoke env.e_compiled key in
+    let args = Array.of_list (List.map (slot env) args) in
+    fun lane s -> s.(d) <- call lane s args
+  | Ir.R_newarr _ | Ir.R_freeze _ | Ir.R_newobj _ | Ir.R_field _
+  | Ir.R_map _ | Ir.R_reduce _ | Ir.R_mkgraph _ ->
+    fun _ _ -> fail "construct not supported on the device (should be excluded)"
 
 (* Aggregate per-lane traces into device timing. *)
 let aggregate ?(device = Device.gtx580) ~model_divergence
@@ -195,49 +433,63 @@ let aggregate ?(device = Device.gtx580) ~model_divergence
   let n = Array.length lanes in
   let warp = device.Device.lanes_per_warp in
   let warps = (n + warp - 1) / max warp 1 in
-  let total_cycles = ref 0.0 in
+  let total_cycles = ref 0 in
   let total_groups = ref 0 in
+  (* distinct branch signatures of one warp and their max cycles; lane
+     cycles are integer-valued, so the summation order is immaterial *)
+  let sigs = Array.make warp 0 and costs = Array.make warp 0 in
   for w = 0 to warps - 1 do
     let lo = w * warp in
     let hi = min (lo + warp) n - 1 in
     if model_divergence then begin
       (* Divergent signatures serialize: the warp pays the max cost of
          each distinct control-flow group. *)
-      let groups = Hashtbl.create 8 in
+      let groups = ref 0 in
       for i = lo to hi do
         let l = lanes.(i) in
-        let cur = try Hashtbl.find groups l.branch_sig with Not_found -> 0.0 in
-        Hashtbl.replace groups l.branch_sig (Float.max cur l.cycles)
+        let g = ref 0 in
+        while !g < !groups && sigs.(!g) <> l.branch_sig do
+          incr g
+        done;
+        if !g = !groups then begin
+          sigs.(!g) <- l.branch_sig;
+          costs.(!g) <- l.cycles;
+          incr groups
+        end
+        else costs.(!g) <- max costs.(!g) l.cycles
       done;
-      Hashtbl.iter (fun _ c -> total_cycles := !total_cycles +. c) groups;
-      total_groups := !total_groups + Hashtbl.length groups
+      for g = 0 to !groups - 1 do
+        total_cycles := !total_cycles + costs.(g)
+      done;
+      total_groups := !total_groups + !groups
     end
     else begin
-      let m = ref 0.0 in
+      let m = ref 0 in
       for i = lo to hi do
         if lanes.(i).cycles > !m then m := lanes.(i).cycles
       done;
-      total_cycles := !total_cycles +. !m;
+      total_cycles := !total_cycles + !m;
       incr total_groups
     end
   done;
+  let total_cycles = float_of_int !total_cycles in
   let mem_bytes = Array.fold_left (fun acc l -> acc + l.mem_bytes) 0 lanes in
   (* Warps spread across SMs; memory traffic is bandwidth-limited. *)
   let compute_ns =
-    Device.cycles_to_ns device (!total_cycles /. float_of_int device.Device.sms)
+    Device.cycles_to_ns device (total_cycles /. float_of_int device.Device.sms)
   in
   let bw_bytes_per_ns = device.Device.mem_bandwidth_gbps /. 1.0 in
   let mem_ns = float_of_int mem_bytes /. bw_bytes_per_ns in
   {
     items = n;
-    compute_cycles = !total_cycles;
+    compute_cycles = total_cycles;
     mem_bytes;
     kernel_ns = Float.max compute_ns mem_ns +. device.Device.launch_overhead_ns;
     avg_divergence_groups =
       (if warps = 0 then 1.0 else float_of_int !total_groups /. float_of_int warps);
   }
 
-let fresh_lane () = { cycles = 0.0; mem_bytes = 0; branch_sig = 0 }
+let fresh_lane () = { cycles = 0; mem_bytes = 0; branch_sig = 0 }
 
 (* Device-model telemetry: each simulated kernel launch becomes a span
    (category ["gpu"]) whose end carries the item count and modeled
@@ -264,39 +516,51 @@ let traced kind name (f : unit -> V.t * timing) =
       Support.Trace.end_span sp;
       raise e
 
+(* The kernel entry of a launch: [key] called on an argument array. *)
+let entry (prog : Ir.program) (key : string) ~arity :
+    lane -> V.t array -> V.t =
+  let call = invoke (compiled_for prog) key in
+  let slots = Array.init arity Fun.id in
+  fun lane args -> call lane args slots
+
 let run_map ?(device = Device.gtx580) ?(model_divergence = true)
     (prog : Ir.program) (site : Ir.map_site) (args : V.t list) :
     V.t * timing =
   Support.Fault.check ~device:"gpu" ~segment:site.map_uid;
   traced "map" site.map_uid @@ fun () ->
-  let pairs = List.combine args (List.map snd site.map_args) in
-  let lengths =
-    List.filter_map
-      (fun (a, mapped) -> if mapped then Some (I.array_length a) else None)
-      pairs
-  in
-  let n =
-    match lengths with
-    | [] -> fail "map kernel without array arguments"
-    | n :: rest ->
-      if List.exists (fun m -> m <> n) rest then
-        fail "mapped arrays have different lengths";
-      n
+  let args = Array.of_list args in
+  let mapped = Array.of_list (List.map snd site.map_args) in
+  if Array.length args <> Array.length mapped then
+    fail "%s: %d argument(s) for %d map operand(s)" site.map_uid
+      (Array.length args) (Array.length mapped);
+  let n = ref (-1) in
+  Array.iteri
+    (fun k a ->
+      if mapped.(k) then begin
+        let m = I.array_length a in
+        if !n < 0 then n := m
+        else if m <> !n then fail "mapped arrays have different lengths"
+      end)
+    args;
+  let n = if !n < 0 then fail "map kernel without array arguments" else !n in
+  let call = entry prog site.map_fn ~arity:(Array.length args) in
+  (* input reads + output write *)
+  let lane_bytes =
+    elem_bytes site.map_elem_ty
+    + Array.fold_left (fun acc m -> if m then acc + 4 else acc) 0 mapped
   in
   let result = I.new_array site.map_elem_ty n in
   let lanes = Array.init n (fun _ -> fresh_lane ()) in
+  (* the callee copies its arguments into a fresh frame, so one
+     argument array serves every lane *)
+  let call_args = Array.copy args in
   for i = 0 to n - 1 do
     let lane = lanes.(i) in
-    let call_args =
-      List.map (fun (a, mapped) -> if mapped then I.array_get a i else a) pairs
-    in
-    let r = exec_lane prog lane site.map_fn call_args in
-    (* input reads + output write *)
-    lane.mem_bytes <-
-      lane.mem_bytes + elem_bytes site.map_elem_ty
-      + List.fold_left
-          (fun acc (_, mapped) -> if mapped then acc + 4 else acc)
-          0 pairs;
+    for k = 0 to Array.length args - 1 do
+      if mapped.(k) then call_args.(k) <- I.array_get args.(k) i
+    done;
+    let r = call lane call_args in
+    lane.mem_bytes <- lane.mem_bytes + lane_bytes;
     I.array_set result i r
   done;
   I.freeze result, aggregate ~device ~model_divergence lanes
@@ -312,13 +576,18 @@ let run_reduce ?(device = Device.gtx580) ?(model_divergence = true)
   (* Values fold left (identical to the CPU), but the device timing is
      that of a tree: ~2n/lanes combiner applications worth of cycles
      plus log n synchronization stages. *)
+  let call = entry prog site.red_fn ~arity:2 in
   let lane = fresh_lane () in
+  let call_args = [| V.Unit; V.Unit |] in
   let acc = ref (I.array_get arg 0) in
   for i = 1 to n - 1 do
-    acc := exec_lane prog lane site.red_fn [ !acc; I.array_get arg i ]
+    call_args.(0) <- !acc;
+    call_args.(1) <- I.array_get arg i;
+    acc := call lane call_args
   done;
   let per_apply =
-    if n > 1 then lane.cycles /. float_of_int (n - 1) else lane.cycles
+    let cycles = float_of_int lane.cycles in
+    if n > 1 then cycles /. float_of_int (n - 1) else cycles
   in
   let lanes_total = float_of_int (Device.total_lanes device) in
   let stages = ceil (log (float_of_int (max n 2)) /. log 2.0) in
@@ -351,13 +620,19 @@ let run_filter_chain ?(device = Device.gtx580) ?(model_divergence = true)
   if not (Lime_ir.Fuse.is_fused_uid name) then
     Support.Fault.check ~device:"gpu" ~segment:name;
   traced "filter-chain" name @@ fun () ->
+  let stages = List.map (entry prog ~arity:1) chain in
   let n = I.array_length input in
   let result = I.new_array output_ty n in
   let lanes = Array.init n (fun _ -> fresh_lane ()) in
+  let call_args = [| V.Unit |] in
   for i = 0 to n - 1 do
     let lane = lanes.(i) in
     let x = ref (I.array_get input i) in
-    List.iter (fun key -> x := exec_lane prog lane key [ !x ]) chain;
+    List.iter
+      (fun call ->
+        call_args.(0) <- !x;
+        x := call lane call_args)
+      stages;
     lane.mem_bytes <- lane.mem_bytes + 4 + elem_bytes output_ty;
     I.array_set result i !x
   done;

@@ -26,6 +26,27 @@ type timing = {
 
 exception Device_error of string
 
+(** {2 Cost model}
+
+    Cycle charges of one lane. All are small integer-valued floats, so
+    a kernel may sum a straight-line run's charges in one add without
+    changing any timing bit. *)
+
+val unop_cycles : Ir.unop -> float
+val binop_cycles : Ir.binop -> float
+
+val mem_op_cycles : float
+(** per array load or store *)
+
+val call_overhead : float
+(** per device-function call *)
+
+(** {2 Launches}
+
+    Device functions are compiled to closures once per program, on
+    their first launch; later launches of the same program (by
+    physical identity) reuse them. *)
+
 val run_map :
   ?device:Device.t ->
   ?model_divergence:bool ->

@@ -131,6 +131,92 @@ let test_stale_source_text_error_quality () =
     check_bool "has location" true (d.loc.line > 0)
   | _ -> Alcotest.fail "expected a compile error"
 
+(* Malformed device launches surface as typed [Device_error]s, never
+   stray OCaml exceptions ([Failure "nth"], [Invalid_argument]). The IR
+   is built by hand: the frontend never produces these shapes. *)
+module Ir = Lime_ir.Ir
+
+let device_prog () : Ir.program =
+  let var id = { Ir.v_id = id; v_name = Printf.sprintf "v%d" id; v_ty = Ir.I32 } in
+  let fn key params body =
+    {
+      Ir.fn_key = key;
+      fn_kind = Ir.K_static;
+      fn_params = params;
+      fn_ret = Ir.I32;
+      fn_body = body;
+      fn_local = true;
+      fn_pure = true;
+      fn_loc = Support.Srcloc.dummy;
+    }
+  in
+  let x = var 0 and r = var 1 in
+  let funcs =
+    [
+      (* T.id(x) = x *)
+      fn "T.id" [ x ] [ Ir.I_return (Some (Ir.O_var x)) ];
+      (* T.bad(x) = T.id(x, x): one argument too many *)
+      fn "T.bad" [ x ]
+        [
+          Ir.I_let (r, Ir.R_call ("T.id", [ Ir.O_var x; Ir.O_var x ]));
+          Ir.I_return (Some (Ir.O_var r));
+        ];
+    ]
+  in
+  {
+    Ir.funcs =
+      List.fold_left
+        (fun m (f : Ir.func) -> Ir.String_map.add f.fn_key f m)
+        Ir.String_map.empty funcs;
+    classes = Ir.String_map.empty;
+    enums = Ir.String_map.empty;
+    templates = Ir.String_map.empty;
+  }
+
+let map_site fn n_args : Ir.map_site =
+  {
+    Ir.map_uid = fn ^ ".map";
+    map_fn = fn;
+    map_args =
+      List.init n_args (fun i ->
+          Ir.O_var { Ir.v_id = i; v_name = "xs"; v_ty = Ir.Arr Ir.I32 }, true);
+    map_elem_ty = Ir.I32;
+    map_loc = Support.Srcloc.dummy;
+  }
+
+let device_error what f =
+  match f () with
+  | exception Gpu.Simt.Device_error m ->
+    check_bool (what ^ ": " ^ m) true (Test_types.contains m "argument")
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: no error" what
+
+let test_device_call_arity () =
+  let prog = device_prog () in
+  let xs = V.Int_array [| 1; 2; 3 |] in
+  device_error "call with too many arguments" (fun () ->
+      Gpu.Simt.run_map prog (map_site "T.bad" 1) [ xs ]);
+  device_error "kernel with too many mapped operands" (fun () ->
+      Gpu.Simt.run_map prog (map_site "T.id" 2) [ xs; xs ]);
+  device_error "reduce over a one-parameter combiner" (fun () ->
+      Gpu.Simt.run_reduce prog
+        {
+          Ir.red_uid = "T.id.reduce";
+          red_fn = "T.id";
+          red_arg = Ir.O_const (Ir.C_i32 0);
+          red_elem_ty = Ir.I32;
+          red_loc = Support.Srcloc.dummy;
+        }
+        xs)
+
+let test_map_argument_count () =
+  let prog = device_prog () in
+  let xs = V.Int_array [| 1; 2; 3 |] in
+  device_error "more arguments than map operands" (fun () ->
+      Gpu.Simt.run_map prog (map_site "T.id" 1) [ xs; xs ]);
+  device_error "fewer arguments than map operands" (fun () ->
+      Gpu.Simt.run_map prog (map_site "T.id" 2) [ xs ])
+
 let suite =
   ( "failures",
     [
@@ -139,6 +225,8 @@ let suite =
       Alcotest.test_case "map trap propagates" `Quick test_map_trap_propagates;
       Alcotest.test_case "sink too small" `Quick test_sink_too_small;
       Alcotest.test_case "unknown entry" `Quick test_unknown_entry_point;
+      Alcotest.test_case "device call arity" `Quick test_device_call_arity;
+      Alcotest.test_case "map argument count" `Quick test_map_argument_count;
       Alcotest.test_case "wrong arity" `Quick test_wrong_arity;
       Alcotest.test_case "negative array length" `Quick test_negative_array_length;
       Alcotest.test_case "rtl cycle guard" `Quick test_infinite_rtl_guard;
