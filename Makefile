@@ -80,9 +80,10 @@ bench-placement: build
 	dune exec bench/placement_bench.exe -- BENCH_placement.json
 
 # Observability regression gate: writes BENCH_obs.json and fails if
-# the disabled-tracing emission cost implies more than 5% overhead on
-# an untraced dsp_chain run, or if trace attribution classifies less
-# than 99% of wall time into the named buckets.
+# the disabled-tracing emission cost implies 5% or more overhead on the
+# reference untraced dsp_chain run (per-site cost and event count
+# pinned to that run), or if trace attribution classifies less than
+# 99% of wall time into the named buckets.
 bench-obs: build
 	dune exec bench/observe_bench.exe -- BENCH_obs.json
 

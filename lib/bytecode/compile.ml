@@ -10,9 +10,12 @@ type code = {
   c_ret : Ir.ty;
 }
 
+type attachment = ..
+
 type unit_ = {
   u_funcs : code Ir.String_map.t;
   u_program : Ir.program;
+  mutable u_attached : attachment option;
 }
 
 type emitter = { buf : Insn.t Vec.t; proven : Ir.instr -> bool }
@@ -189,6 +192,7 @@ let compile_program ?proven (p : Ir.program) : unit_ =
         (fun key fn -> compile_function ~proven:(prover_for key) fn)
         p.Ir.funcs;
     u_program = p;
+    u_attached = None;
   }
 
 let disassemble (c : code) =

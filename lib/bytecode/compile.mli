@@ -15,9 +15,16 @@ type code = {
   c_ret : Ir.ty;
 }
 
+type attachment = ..
+(** State a consumer derives from a unit and keeps for the unit's
+    lifetime (the VM's compiled functions). *)
+
 type unit_ = {
   u_funcs : code Ir.String_map.t;
   u_program : Ir.program;  (** class/enum/template metadata *)
+  mutable u_attached : attachment option;
+      (** set by the consumer on first use; [{ u with ... }] copies it,
+          so a consumer checks that it is attached to this very unit *)
 }
 
 val compile_function : ?proven:(Ir.instr -> bool) -> Ir.func -> code

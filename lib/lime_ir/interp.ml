@@ -36,6 +36,10 @@ let rec default_value (ty : Ir.ty) : v =
   | Ir.Graph -> Graph_handle (-1)
   | Ir.Unit -> Prim V.Unit
 
+let unset_field obj slot =
+  Printf.sprintf "field slot %d of %s accessed through an unset reference"
+    slot obj.obj_class
+
 let prim_exn = function
   | Prim p -> p
   | Obj o -> fail "expected a value but found an instance of %s" o.obj_class
@@ -277,7 +281,9 @@ and exec_instr st frame (i : Ir.instr) : unit =
     | v -> fail "array index must be an int, found %s" (V.type_name v))
   | Ir.I_setfield (o, slot, x) -> (
     match operand st frame o with
-    | Obj obj -> obj.obj_fields.(slot) <- operand st frame x
+    | Obj obj when slot >= 0 && slot < Array.length obj.obj_fields ->
+      obj.obj_fields.(slot) <- operand st frame x
+    | Obj obj -> fail "%s" (unset_field obj slot)
     | v -> fail "field write on non-object %s" (Format.asprintf "%a" pp v))
   | Ir.I_if (c, then_, else_) -> (
     match prim_exn (operand st frame c) with
@@ -340,7 +346,9 @@ and eval_rhs st frame (rhs : Ir.rhs) : v =
       obj)
   | Ir.R_field (o, slot) -> (
     match operand st frame o with
-    | Obj obj -> obj.obj_fields.(slot)
+    | Obj obj when slot >= 0 && slot < Array.length obj.obj_fields ->
+      obj.obj_fields.(slot)
+    | Obj obj -> fail "%s" (unset_field obj slot)
     | v -> fail "field read on non-object %s" (Format.asprintf "%a" pp v))
   | Ir.R_map site -> (
     let args = List.map (fun (o, _) -> operand st frame o) site.map_args in

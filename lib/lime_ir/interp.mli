@@ -33,6 +33,11 @@ val no_hooks : hooks
 val default_value : Ir.ty -> v
 (** Zero / false / empty value used for uninitialized slots. *)
 
+val unset_field : obj -> int -> string
+(** The trap message for field [slot] of an instance without it: an
+    object-typed field or variable read before it was assigned holds
+    the field-less default instance. Shared by every engine. *)
+
 val prim_exn : v -> Wire.Value.t
 (** @raise Runtime_error if the value is an object or graph handle. *)
 

@@ -267,21 +267,22 @@ let measure_artifact ctx (artifact : Artifact.t) chain ~input_ty =
    [receiver; element] calling convention. *)
 let measure_vm ctx chain ~receivers ~input_ty =
   let unit_ = ctx.cx_compiled.Liquid_metal.Compiler.unit_ in
+  let stages = List.map (fun f -> Bytecode.Vm.entry unit_ (fn_key f)) chain in
   let samples = 8 in
   let executed = ref 0 in
   for i = 0 to samples - 1 do
     let x = ref (Option.get (synth_value input_ty i)) in
     List.iter2
-      (fun f receiver ->
+      (fun run receiver ->
         let args =
           match receiver with
           | Some r -> [ r; I.Prim !x ]
           | None -> [ I.Prim !x ]
         in
-        let r = Bytecode.Vm.run unit_ (fn_key f) args in
+        let r = run args in
         executed := !executed + r.Bytecode.Vm.executed;
         x := I.prim_exn r.Bytecode.Vm.value)
-      chain receivers
+      stages receivers
   done;
   let per_elem =
     float_of_int !executed /. float_of_int samples

@@ -332,7 +332,7 @@ let filter_fn_key (f : Ir.filter_info) =
 (* One bytecode filter actor: every element application is a VM call,
    charged to the CPU model. *)
 let bytecode_filter_actor t ((f : Ir.filter_info), receiver) inp out =
-  let key = filter_fn_key f in
+  let run = Bytecode.Vm.entry t.unit_ (filter_fn_key f) in
   let span_name = "bc:" ^ f.uid in
   let apply x =
     Trace.with_span ~cat:"vm" span_name (fun () ->
@@ -341,7 +341,7 @@ let bytecode_filter_actor t ((f : Ir.filter_info), receiver) inp out =
           | Some r -> [ r; I.Prim x ]
           | None -> [ I.Prim x ]
         in
-        let r = Bytecode.Vm.run t.unit_ key args in
+        let r = run args in
         Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
         I.prim_exn r.Bytecode.Vm.value)
   in
@@ -444,18 +444,24 @@ let native_batch t (artifact : Artifact.native_artifact)
     (fun () ->
       let packed = pack_stream input_ty xs in
       let dev_input = unpack_stream (ship_to_device ~boundary:nb t packed) in
-      let apply x ((f : Ir.filter_info), receiver) =
+      let apply x (run, receiver) =
         let args =
           match receiver with
           | Some r -> [ r; I.Prim x ]
           | None -> [ I.Prim x ]
         in
-        let r = Bytecode.Vm.run t.unit_ (filter_fn_key f) args in
+        let r = run args in
         Metrics.add_native_instructions t.metrics_ r.Bytecode.Vm.executed;
         I.prim_exn r.Bytecode.Vm.value
       in
+      let stages =
+        List.map
+          (fun (f, receiver) ->
+            (Bytecode.Vm.entry t.unit_ (filter_fn_key f), receiver))
+          filters
+      in
       let outputs =
-        List.map (fun x -> List.fold_left apply x filters) dev_input
+        List.map (fun x -> List.fold_left apply x stages) dev_input
       in
       unpack_stream
         (ship_to_host ~boundary:nb t (pack_stream output_ty outputs)))
@@ -591,7 +597,7 @@ let trace_fault_event name ~uid ~attempt extra =
    chain makes filter-at-a-time equivalent to the pipelined actor
    schedule. *)
 let bytecode_apply_batch t ((f : Ir.filter_info), receiver) xs =
-  let key = filter_fn_key f in
+  let run = Bytecode.Vm.entry t.unit_ (filter_fn_key f) in
   let span_name = "bc:" ^ f.uid in
   List.map
     (fun x ->
@@ -601,7 +607,7 @@ let bytecode_apply_batch t ((f : Ir.filter_info), receiver) xs =
             | Some r -> [ r; I.Prim x ]
             | None -> [ I.Prim x ]
           in
-          let r = Bytecode.Vm.run t.unit_ key args in
+          let r = run args in
           Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
           I.prim_exn r.Bytecode.Vm.value))
     xs
@@ -1308,6 +1314,7 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
     (pairs : (I.v * bool) list) (n : int) : I.v =
   let uid = lw.Lmr.lw_uid in
   let worker = lw.Lmr.lw_worker in
+  let run = Bytecode.Vm.entry t.unit_ lw.Lmr.lw_fn in
   let bounds =
     Lmr.split_bounds ~n
       ~chunks:(Lmr.chunks_for ?override:t.map_chunks ~n lw.Lmr.lw_kind)
@@ -1366,7 +1373,7 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
                 else a)
               pairs
           in
-          let r = Bytecode.Vm.run t.unit_ lw.Lmr.lw_fn elt_args in
+          let r = run elt_args in
           Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
           I.array_set out j (I.prim_exn r.Bytecode.Vm.value)
         done;
@@ -1409,7 +1416,7 @@ let run_lowered_map_n t (lw : Lmr.lowered) (site : Ir.map_site)
                 | `Host a -> a)
               shipped
           in
-          let r = Bytecode.Vm.run t.unit_ lw.Lmr.lw_fn elt_args in
+          let r = run elt_args in
           Metrics.add_native_instructions t.metrics_ r.Bytecode.Vm.executed;
           I.array_set out j (I.prim_exn r.Bytecode.Vm.value)
         done;
@@ -1506,6 +1513,7 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
     (host : V.t) (n : int) : I.v =
   let uid = lw.Lmr.lw_uid in
   let worker = lw.Lmr.lw_worker in
+  let run = Bytecode.Vm.entry t.unit_ lw.Lmr.lw_fn in
   let bounds =
     Lmr.split_bounds ~n
       ~chunks:
@@ -1550,10 +1558,7 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
   let vm_fold ~account arr (off, len) =
     let acc = ref (I.Prim (I.array_get arr off)) in
     for j = 1 to len - 1 do
-      let r =
-        Bytecode.Vm.run t.unit_ lw.Lmr.lw_fn
-          [ !acc; I.Prim (I.array_get arr (off + j)) ]
-      in
+      let r = run [ !acc; I.Prim (I.array_get arr (off + j)) ] in
       account r.Bytecode.Vm.executed;
       acc := r.Bytecode.Vm.value
     done;
@@ -1656,7 +1661,7 @@ let run_lowered_reduce_n t (lw : Lmr.lowered) (site : Ir.reduce_site)
       let combine a b =
         let r =
           Trace.with_span ~cat:"vm" ("bc:" ^ uid) (fun () ->
-              Bytecode.Vm.run t.unit_ lw.Lmr.lw_fn [ a; b ])
+              run [ a; b ])
         in
         Metrics.add_vm_instructions t.metrics_ r.Bytecode.Vm.executed;
         r.Bytecode.Vm.value

@@ -129,11 +129,12 @@ class Fuzz {
 
 (* --- differential harness ---------------------------------------------- *)
 
-type outcome = Value of V.t | Trap
+type outcome = Value of V.t | Trap | Count_differs of int * int
 
 let show_outcome = function
   | Value v -> V.to_string v
   | Trap -> "<trap>"
+  | Count_differs (a, b) -> Printf.sprintf "<executed %d then %d>" a b
 
 let run_engines src (a, b) : (string * outcome) list =
   let prog =
@@ -148,9 +149,14 @@ let run_engines src (a, b) : (string * outcome) list =
     | _ -> Trap
     | exception I.Runtime_error _ -> Trap
   in
+  (* The first run compiles the unit's code, the second reuses it: both
+     must execute the same instruction count. *)
   let vm p =
-    match (Bytecode.Vm.run (Bytecode.Compile.compile_program p) "Fuzz.f" args).value with
-    | I.Prim v -> Value v
+    let u = Bytecode.Compile.compile_program p in
+    match Bytecode.Vm.run u "Fuzz.f" args with
+    | { value = I.Prim v; executed } ->
+      let again = (Bytecode.Vm.run u "Fuzz.f" args).executed in
+      if again <> executed then Count_differs (executed, again) else Value v
     | _ -> Trap
     | exception I.Runtime_error _ -> Trap
     | exception Bytecode.Vm.Vm_error _ -> Trap
