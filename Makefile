@@ -114,8 +114,11 @@ bench-serve: build
 # Host-throughput benchmark (perfbench/): one 10-second run of each
 # workload, printing its JSON result line. Not part of `check`: host
 # timing on a small shared machine is too noisy to gate a build on.
+# `make perf W=streams` runs only the named workload(s).
+W ?= kernels bytecode streams serve
+
 perf:
-	@for w in kernels bytecode streams serve; do \
+	@for w in $(W); do \
 	  out=$$(bash perfbench/run.sh --workload $$w --seed 201 --seconds 10 --trace 0) || exit 1; \
 	  echo "$$out" | tail -n 1; \
 	done

@@ -218,7 +218,8 @@ let fig4_cosim_waveform () =
       (Array.map (fun b -> V.Bit b)
          (Bits.Bitvec.to_bool_array (Bits.Bitvec.of_literal input)))
   in
-  let outputs, stats = Rtl.Sim.run ~vcd ~clock_ns:4 prog pipeline bits in
+  let unit_ = Bytecode.Compile.compile_program prog in
+  let outputs, stats = Rtl.Sim.run ~vcd ~clock_ns:4 unit_ pipeline bits in
   Printf.printf "input: %sb (9 bits, as in the paper)\n" input;
   Printf.printf "output: %sb\n"
     (Bits.Bitvec.to_literal
@@ -256,7 +257,7 @@ let fig4_cosim_waveform () =
     "\nevery element: read -> compute -> publish in 3 cycles; the FIFO\n\
      presents data on the rising edge after the write (paper section 5).\n";
   register_micro "F4: RTL co-simulation of taskFlip (9 bits)" (fun () ->
-      ignore (Rtl.Sim.run prog pipeline bits))
+      ignore (Rtl.Sim.run unit_ pipeline bits))
 
 (* ------------------------------------------------------------------ *)
 (* S1: the 12x-431x end-to-end GPU speedups                            *)
@@ -400,6 +401,7 @@ class P {
 |}))
   in
   let filters = List.map snd (Ir.filter_sites prog) in
+  let unit_ = Bytecode.Compile.compile_program prog in
   List.iter
     (fun capacity ->
       (* actor pipeline against a bursty consumer that services 8
@@ -449,7 +451,7 @@ class P {
           (List.map (fun f -> f, None) filters)
       in
       let _, rtl_stats =
-        Rtl.Sim.run prog pl (List.init 64 (fun i -> V.Int i))
+        Rtl.Sim.run unit_ pl (List.init 64 (fun i -> V.Int i))
       in
       Table.add_row t
         [

@@ -43,7 +43,11 @@ let () =
       (Array.map (fun b -> V.Bit b)
          (Bits.Bitvec.to_bool_array (Bits.Bitvec.of_literal input)))
   in
-  let outputs, stats = Rtl.Sim.run ~vcd ~clock_ns:4 prog pipeline bits in
+  let outputs, stats =
+    Rtl.Sim.run ~vcd ~clock_ns:4
+      (Bytecode.Compile.compile_program prog)
+      pipeline bits
+  in
   ignore outputs;
   (try Unix.mkdir "_artifacts" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let write path contents =

@@ -1,12 +1,14 @@
 (** Reference interpreter for the IR.
 
-    This is the semantic oracle: the bytecode VM, the GPU simulator and
-    the RTL netlists are all tested against it. It also gives host
-    methods a direct execution path in unit tests, without the runtime.
+    This is the test oracle and is on no execution path: the bytecode
+    VM, the GPU simulator and the RTL simulator (which runs its stages
+    on the VM) are all tested against it, and it gives host methods a
+    direct execution path in unit tests, without the runtime. Every
+    engine shares its value type and {{!section:prims}primitive
+    semantics}.
 
-    Map/reduce sites and task graphs execute inline by default; the
-    Liquid Metal runtime overrides them through {!hooks} to perform
-    artifact substitution and co-execution. *)
+    Map/reduce sites and task graphs execute inline by default; a test
+    can intercept them through {!hooks}. *)
 
 exception Runtime_error of string
 
@@ -62,7 +64,7 @@ val run_graph_inline :
 
 val pp : Format.formatter -> v -> unit
 
-(** {2 Primitive semantics}
+(** {2:prims Primitive semantics}
 
     Shared with the bytecode VM (and usable by other backends) so that
     every execution engine agrees bit-for-bit on operator, array and

@@ -616,8 +616,14 @@ let render (r : t) =
   let wall = if r.rp_wall_us > 0.0 then r.rp_wall_us else 1.0 in
   (* attribution *)
   Buffer.add_string buf "\nattribution (wall time):\n";
+  (* The host-timed [us] cells are right-aligned in a fixed field, so
+     the column — and the rule under its header — keeps one width
+     whatever the run took (up to 10^8 us). *)
   let t = Support.Stats.Table.create ~columns:[ "bucket"; "us"; "share" ] in
-  let row name v = Support.Stats.Table.add_row t [ name; us v; pct (v /. wall) ] in
+  let row name v =
+    Support.Stats.Table.add_row t
+      [ name; Printf.sprintf "%10.1f" v; pct (v /. wall) ]
+  in
   row "compute" r.rp_attr.at_compute;
   row "marshal" r.rp_attr.at_marshal;
   row "sched" r.rp_attr.at_sched;

@@ -167,11 +167,11 @@ let key_of ctx artifact chain =
 
 (* Fabricate a receiver object for an instance filter so stateful
    chains can be *measured* rather than estimated: allocate the class
-   with default field values, then run its constructor with synthetic
-   scalar arguments (mirroring [Interp]'s [R_newobj] semantics).
-   [None] when the class is unknown, a constructor argument type has
-   no generator, or the constructor traps — the chain then falls back
-   to the analytic profile. *)
+   with default field values, then run its constructor on the bytecode
+   VM with synthetic scalar arguments (mirroring the VM's [NEW]
+   semantics). [None] when the class is unknown, a constructor
+   argument type has no generator, or the constructor traps — the
+   chain then falls back to the analytic profile. *)
 let fabricate_receiver ctx (cls : string) : I.v option =
   let prog = ctx.cx_compiled.Liquid_metal.Compiler.ir in
   match Ir.String_map.find_opt cls prog.Ir.classes with
@@ -204,9 +204,11 @@ let fabricate_receiver ctx (cls : string) : I.v option =
         | None -> None
         | Some args -> (
           try
-            ignore (I.call prog ctor (obj :: args));
+            ignore
+              (Bytecode.Vm.run ctx.cx_compiled.Liquid_metal.Compiler.unit_ ctor
+                 (obj :: args));
             Some obj
-          with I.Runtime_error _ -> None))))
+          with I.Runtime_error _ | Bytecode.Vm.Vm_error _ -> None))))
 
 (* One fabricated receiver slot per filter ([None] for static
    filters); [None] overall when any instance filter cannot be

@@ -1,4 +1,3 @@
-module Ir = Lime_ir.Ir
 module I = Lime_ir.Interp
 module V = Wire.Value
 
@@ -13,10 +12,13 @@ exception Simulation_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Simulation_error s)) fmt
 
-(* A hardware FIFO with a registered output: an element written at
-   cycle [t] first appears at the output at cycle [t + 1] — "the
-   generated logic uses a FIFO which produces a value on the next
-   rising edge of the clock" (paper section 5). *)
+(* A bounded queue whose elements each carry the cycle from which they
+   may leave. As a hardware FIFO with a registered output, an element
+   written at cycle [t] first appears at the output at cycle [t + 1] —
+   "the generated logic uses a FIFO which produces a value on the next
+   rising edge of the clock" (paper section 5). As a pipelined stage's
+   registers, a result becomes publishable [st_latency] cycles after
+   its input entered. *)
 module Fifo = struct
   type t = {
     depth : int;
@@ -27,51 +29,102 @@ module Fifo = struct
   let length t = Queue.length t.q
   let has_space t = Queue.length t.q < t.depth
 
-  let push t ~cycle v =
+  let push_at t ~visible v =
     if not (has_space t) then invalid_arg "Fifo.push: full";
-    Queue.push (v, cycle + 1) t.q
+    Queue.push (v, visible) t.q
 
-  let peek t ~cycle =
-    match Queue.peek_opt t.q with
-    | Some (v, visible) when visible <= cycle -> Some v
-    | Some _ | None -> None
+  let push t ~cycle v = push_at t ~visible:(cycle + 1) v
 
-  let pop t = ignore (Queue.pop t.q)
+  (* Whether the oldest element is visible at [cycle]. *)
+  let ready t ~cycle =
+    (not (Queue.is_empty t.q)) && snd (Queue.peek t.q) <= cycle
+
+  let pop t = fst (Queue.pop t.q)
 end
 
 (* The unpipelined stage FSM: read (1 cycle), compute (latency
    cycles), publish (1 cycle). *)
-type fsm =
-  | Idle
-  | Computing of V.t * int  (* latched input, remaining cycles *)
-  | Publishing of V.t
+type phase = Idle | Computing | Publishing
+
+type wave = {
+  vcd : Vcd.t;
+  in_ready : Vcd.var;
+  in_data : Vcd.var;
+  out_ready : Vcd.var;
+  out_data : Vcd.var;
+}
 
 type stage_state = {
   stage : Netlist.stage;
-  mutable fsm : fsm;
+  filter : V.t -> V.t;
   input_fifo : Fifo.t;
-  inflight : (V.t * int) Queue.t;
+  down : Fifo.t;  (* the next stage's input FIFO, or the sink *)
+  inflight : Fifo.t;
       (* pipelined mode only: results in the stage's pipeline
          registers, with the cycle each becomes publishable *)
-  (* waveform vars (None when no VCD requested) *)
-  w_in_ready : Vcd.var option;
-  w_in_data : Vcd.var option;
-  w_out_ready : Vcd.var option;
-  w_out_data : Vcd.var option;
+  mutable phase : phase;
+  mutable held : V.t;
+      (* the latched input while [Computing], the result while
+         [Publishing] *)
+  mutable remaining : int;  (* compute cycles left *)
+  wave : wave option;  (* [None] when no VCD was requested *)
 }
 
-let apply_filter prog (st : Netlist.stage) (x : V.t) : V.t =
-  let args =
-    match st.st_state with
-    | Some receiver -> [ receiver; I.Prim x ]
-    | None -> [ I.Prim x ]
+(* The stage's filter on the compiled VM, resolved once per run. *)
+let filter_of unit_ (st : Netlist.stage) : V.t -> V.t =
+  let call = Bytecode.Vm.entry unit_ st.st_fn in
+  let value (r : Bytecode.Vm.result) =
+    match r.value with
+    | I.Prim v -> v
+    | v -> fail "filter %s produced a non-value result %a" st.st_fn I.pp v
   in
-  match I.call prog st.st_fn args with
-  | I.Prim v -> v
-  | v -> fail "filter %s produced a non-value result %a" st.st_fn I.pp v
+  match st.st_state with
+  | Some receiver -> fun x -> value (call [ receiver; I.Prim x ])
+  | None -> fun x -> value (call [ I.Prim x ])
 
-let run ?vcd ?(clock_ns = 4) ?(max_cycles = 10_000_000) (prog : Ir.program)
-    (pl : Netlist.pipeline) (inputs : V.t list) : V.t list * stats =
+(* Declared output-first: the order of the VCD's [$var] lines and
+   identifier codes. *)
+let wave_of vcd (st : Netlist.stage) =
+  let var name width = Vcd.add_var vcd ~name:(st.st_name ^ name) ~width in
+  let out_data = var "_outData" (Netlist.width_of_ty st.st_output_ty) in
+  let out_ready = var "_outReady" 1 in
+  let in_data = var "_inData" (Netlist.width_of_ty st.st_input_ty) in
+  let in_ready = var "_inReady" 1 in
+  { vcd; in_ready; in_data; out_ready; out_data }
+
+(* Waveform levels: both ready lines default low each cycle; an accept
+   or publish raises its line and shows its data. *)
+let wave_idle s ~time =
+  match s.wave with
+  | None -> ()
+  | Some w ->
+    Vcd.set w.vcd ~time_ns:time w.in_ready 0;
+    Vcd.set w.vcd ~time_ns:time w.out_ready 0
+
+let wave_accept s ~time x =
+  match s.wave with
+  | None -> ()
+  | Some w ->
+    Vcd.set w.vcd ~time_ns:time w.in_ready 1;
+    Vcd.set w.vcd ~time_ns:time w.in_data
+      (Netlist.bits_of_value s.stage.st_input_ty x)
+
+let wave_publish s ~time y =
+  match s.wave with
+  | None -> ()
+  | Some w ->
+    Vcd.set w.vcd ~time_ns:time w.out_ready 1;
+    Vcd.set w.vcd ~time_ns:time w.out_data
+      (Netlist.bits_of_value s.stage.st_output_ty y)
+
+let is_drained s =
+  match s.phase with
+  | Idle -> Fifo.length s.input_fifo = 0 && Fifo.length s.inflight = 0
+  | Computing | Publishing -> false
+
+let run ?vcd ?(clock_ns = 4) ?(max_cycles = 10_000_000)
+    (unit_ : Bytecode.Compile.unit_) (pl : Netlist.pipeline)
+    (inputs : V.t list) : V.t list * stats =
   (* Fused pipelines are fault-checked by the engine's launch prelude
      under their pre-fusion alias names — checking the fused uid here
      too would double-charge one launch. *)
@@ -99,136 +152,118 @@ let run ?vcd ?(clock_ns = 4) ?(max_cycles = 10_000_000) (prog : Ir.program)
         raise e
   in
   traced @@ fun () ->
-  let mkvar name width =
-    Option.map (fun v -> Vcd.add_var v ~name ~width) vcd
-  in
-  let clk_var = mkvar "clk" 1 in
+  let clk_var = Option.map (fun v -> Vcd.add_var v ~name:"clk" ~width:1) vcd in
+  let depth = pl.Netlist.pl_fifo_depth in
+  let pipelined = pl.Netlist.pl_pipelined in
+  let specs = Array.of_list pl.Netlist.pl_stages in
+  let n = Array.length specs in
+  let input_fifos = Array.init n (fun _ -> Fifo.create depth) in
+  let sink_fifo = Fifo.create depth in
   let stages =
-    List.map
-      (fun (st : Netlist.stage) ->
+    Array.mapi
+      (fun i (st : Netlist.stage) ->
         {
           stage = st;
-          fsm = Idle;
-          input_fifo = Fifo.create pl.Netlist.pl_fifo_depth;
-          inflight = Queue.create ();
-          w_in_ready = mkvar (st.st_name ^ "_inReady") 1;
-          w_in_data = mkvar (st.st_name ^ "_inData")
-              (Netlist.width_of_ty st.st_input_ty);
-          w_out_ready = mkvar (st.st_name ^ "_outReady") 1;
-          w_out_data = mkvar (st.st_name ^ "_outData")
-              (Netlist.width_of_ty st.st_output_ty);
+          filter = filter_of unit_ st;
+          input_fifo = input_fifos.(i);
+          down = (if i + 1 < n then input_fifos.(i + 1) else sink_fifo);
+          inflight = Fifo.create (if pipelined then st.st_latency + 1 else 0);
+          phase = Idle;
+          held = V.Unit;
+          remaining = 0;
+          wave = Option.map (fun v -> wave_of v st) vcd;
         })
-      pl.Netlist.pl_stages
+      specs
   in
-  let sink_fifo = Fifo.create pl.Netlist.pl_fifo_depth in
   Option.iter Vcd.finalize_header vcd;
   let pending = ref inputs in
   let outputs = ref [] in
   let stalls = ref 0 in
   let max_occ = ref 0 in
   let cycle = ref 0 in
-  let vset_at time var v =
-    match vcd, var with
-    | Some w, Some var -> Vcd.set w ~time_ns:time var v
+  let clk level time =
+    match vcd, clk_var with
+    | Some w, Some var -> Vcd.set w ~time_ns:time var level
     | _, _ -> ()
   in
-  let vset var v = vset_at (!cycle * clock_ns) var v in
-  let downstream_of i =
-    if i + 1 < List.length stages then
-      (List.nth stages (i + 1)).input_fifo
-    else sink_fifo
-  in
+  let occupancy f = if Fifo.length f > !max_occ then max_occ := Fifo.length f in
   let quiescent () =
-    !pending = []
-    && List.for_all
-         (fun s ->
-           s.fsm = Idle
-           && Fifo.length s.input_fifo = 0
-           && Queue.is_empty s.inflight)
-         stages
+    (match !pending with [] -> true | _ :: _ -> false)
+    && Array.for_all is_drained stages
     && Fifo.length sink_fifo = 0
   in
   while not (quiescent ()) do
-    if !cycle > max_cycles then fail "pipeline wedged after %d cycles" max_cycles;
+    let now = !cycle in
+    if now > max_cycles then fail "pipeline wedged after %d cycles" max_cycles;
+    let time = now * clock_ns in
     (* rising edge *)
-    vset clk_var 1;
+    clk 1 time;
     (* Sink drains first so a full FIFO frees within the cycle order
        downstream-to-upstream (registered visibility still enforces the
        one-cycle FIFO delay). *)
-    (match Fifo.peek sink_fifo ~cycle:!cycle with
-    | Some v ->
-      Fifo.pop sink_fifo;
-      outputs := v :: !outputs
-    | None -> ());
-    List.iteri
-      (fun i s ->
-        let down = downstream_of i in
-        (* default waveform levels each cycle *)
-        vset s.w_in_ready 0;
-        vset s.w_out_ready 0;
-        if pl.Netlist.pl_pipelined then begin
-          (* Fully pipelined stage (initiation interval 1): publish the
-             oldest in-flight result whose latency has elapsed, then
-             accept one new element into the pipeline registers. The
-             register file holds at most [st_latency + 1] values;
-             downstream backpressure stalls acceptance. *)
-          (match Queue.peek_opt s.inflight with
-          | Some (y, ready) when ready <= !cycle ->
-            if Fifo.has_space down then begin
-              ignore (Queue.pop s.inflight);
-              Fifo.push down ~cycle:!cycle y;
-              vset s.w_out_ready 1;
-              vset s.w_out_data (Netlist.bits_of_value s.stage.st_output_ty y)
-            end
-            else incr stalls
-          | Some _ | None -> ());
-          if Queue.length s.inflight <= s.stage.st_latency then
-            match Fifo.peek s.input_fifo ~cycle:!cycle with
-            | Some x ->
-              Fifo.pop s.input_fifo;
-              vset s.w_in_ready 1;
-              vset s.w_in_data (Netlist.bits_of_value s.stage.st_input_ty x);
-              Queue.push
-                (apply_filter prog s.stage x, !cycle + s.stage.st_latency)
-                s.inflight
-            | None -> ()
+    if Fifo.ready sink_fifo ~cycle:now then
+      outputs := Fifo.pop sink_fifo :: !outputs;
+    for i = 0 to n - 1 do
+      let s = stages.(i) in
+      wave_idle s ~time;
+      if pipelined then begin
+        (* Fully pipelined stage (initiation interval 1): publish the
+           oldest in-flight result whose latency has elapsed, then
+           accept one new element into the pipeline registers. The
+           register file holds at most [st_latency + 1] values;
+           downstream backpressure stalls acceptance. *)
+        if Fifo.ready s.inflight ~cycle:now then
+          if Fifo.has_space s.down then begin
+            let y = Fifo.pop s.inflight in
+            Fifo.push s.down ~cycle:now y;
+            wave_publish s ~time y
+          end
+          else incr stalls;
+        if
+          Fifo.length s.inflight <= s.stage.st_latency
+          && Fifo.ready s.input_fifo ~cycle:now
+        then begin
+          let x = Fifo.pop s.input_fifo in
+          wave_accept s ~time x;
+          Fifo.push_at s.inflight ~visible:(now + s.stage.st_latency)
+            (s.filter x)
         end
-        else
-        match s.fsm with
-        | Publishing y ->
-          if Fifo.has_space down then begin
-            Fifo.push down ~cycle:!cycle y;
-            vset s.w_out_ready 1;
-            vset s.w_out_data (Netlist.bits_of_value s.stage.st_output_ty y);
-            s.fsm <- Idle
+      end
+      else
+        match s.phase with
+        | Publishing ->
+          if Fifo.has_space s.down then begin
+            Fifo.push s.down ~cycle:now s.held;
+            wave_publish s ~time s.held;
+            s.held <- V.Unit;
+            s.phase <- Idle
           end
           else incr stalls
-        | Computing (x, remaining) ->
-          if remaining > 1 then s.fsm <- Computing (x, remaining - 1)
-          else s.fsm <- Publishing (apply_filter prog s.stage x)
-        | Idle -> (
-          match Fifo.peek s.input_fifo ~cycle:!cycle with
-          | Some x ->
-            Fifo.pop s.input_fifo;
-            vset s.w_in_ready 1;
-            vset s.w_in_data (Netlist.bits_of_value s.stage.st_input_ty x);
-            s.fsm <- Computing (x, s.stage.st_latency)
-          | None -> ()))
-      stages;
+        | Computing ->
+          if s.remaining > 1 then s.remaining <- s.remaining - 1
+          else begin
+            s.held <- s.filter s.held;
+            s.phase <- Publishing
+          end
+        | Idle ->
+          if Fifo.ready s.input_fifo ~cycle:now then begin
+            let x = Fifo.pop s.input_fifo in
+            wave_accept s ~time x;
+            s.held <- x;
+            s.remaining <- s.stage.st_latency;
+            s.phase <- Computing
+          end
+    done;
     (* Source feeds the first stage, one element per cycle. *)
-    (match stages, !pending with
-    | first :: _, x :: rest ->
-      if Fifo.has_space first.input_fifo then begin
-        Fifo.push first.input_fifo ~cycle:!cycle x;
-        pending := rest
-      end
-    | _, [] | [], _ -> ());
-    List.iter
-      (fun s -> max_occ := max !max_occ (Fifo.length s.input_fifo))
-      stages;
-    max_occ := max !max_occ (Fifo.length sink_fifo);
+    (match !pending with
+    | x :: rest when n > 0 && Fifo.has_space stages.(0).input_fifo ->
+      Fifo.push stages.(0).input_fifo ~cycle:now x;
+      pending := rest
+    | _ -> ());
+    Array.iter occupancy input_fifos;
+    occupancy sink_fifo;
     (* falling edge *)
-    vset_at ((!cycle * clock_ns) + (clock_ns / 2)) clk_var 0;
+    clk 0 (time + (clock_ns / 2));
     incr cycle
   done;
   ( List.rev !outputs,

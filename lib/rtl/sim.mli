@@ -1,6 +1,3 @@
-module Ir = Lime_ir.Ir
-module I = Lime_ir.Interp
-
 (** Clocked simulation of synthesized pipelines.
 
     Reproduces the behaviour visible in the paper's Figure 4 waveform:
@@ -16,7 +13,13 @@ module I = Lime_ir.Interp
 
     Passing a {!Vcd.t} records [clk], and per stage [<name>_inReady],
     [<name>_inData], [<name>_outReady], [<name>_outData], so the run
-    can be inspected in a standard waveform viewer. *)
+    can be inspected in a standard waveform viewer. Without one, no
+    waveform is encoded at all.
+
+    Each stage's filter evaluates on the compiled bytecode VM
+    ({!Bytecode.Vm.entry}), resolved once per run; stateful receivers
+    are the stages' registers and are updated in place. The clock loop
+    allocates only for elements it moves, never per cycle. *)
 
 type stats = {
   cycles : int;  (** total clock cycles until the pipeline drained *)
@@ -31,11 +34,13 @@ val run :
   ?vcd:Vcd.t ->
   ?clock_ns:int ->
   ?max_cycles:int ->
-  Ir.program ->
+  Bytecode.Compile.unit_ ->
   Netlist.pipeline ->
   Wire.Value.t list ->
   Wire.Value.t list * stats
-(** [run prog pipeline inputs] streams every input element through the
+(** [run unit_ pipeline inputs] streams every input element through the
     pipeline and returns the sink outputs in order.
     @raise Simulation_error on a wedged pipeline (deadlock /
-    [max_cycles] exceeded, default 10 million). *)
+    [max_cycles] exceeded, default 10 million).
+    @raise Bytecode.Vm.Vm_error or [Lime_ir.Interp.Runtime_error] when a
+    filter traps, as on the bytecode path. *)

@@ -86,6 +86,20 @@ let rec analyze_fn (prog : Ir.program) ?effects ?cache ~stack (key : string) :
           | t ->
             reject "%s: port type %s not synthesizable" key (Ir.ty_to_string t))
         fn.fn_params;
+      (* the receiver's fields become registers, so they must be
+         scalars too *)
+      (match fn.fn_kind with
+      | Ir.K_instance cls -> (
+        match Ir.String_map.find_opt cls prog.Ir.classes with
+        | Some meta ->
+          List.iter
+            (fun (name, t) ->
+              if not (scalar_ty t) then
+                reject "%s: field %s of type %s is not a register" key name
+                  (Ir.ty_to_string t))
+            meta.Ir.cm_fields
+        | None -> ())
+      | Ir.K_static | Ir.K_ctor _ -> ());
       analyze_block prog ?effects ?cache ~stack:(key :: stack) fn.fn_body
   in
   match cache with

@@ -420,7 +420,7 @@ let fpga_batch t (artifact : Artifact.fpga_artifact)
       let input_ty = Rtl.Netlist.input_ty pipeline in
       let packed = pack_stream input_ty xs in
       let dev_input = unpack_stream (ship_to_device t packed) in
-      let outputs, stats = Rtl.Sim.run (program t) pipeline dev_input in
+      let outputs, stats = Rtl.Sim.run t.unit_ pipeline dev_input in
       Metrics.add_fpga_run t.metrics_ ~cycles:stats.Rtl.Sim.cycles
         ~ns:(float_of_int (stats.Rtl.Sim.cycles * t.fpga_clock_ns));
       let out_packed = pack_stream (Rtl.Netlist.output_ty pipeline) outputs in

@@ -103,6 +103,79 @@ let test_negative_array_length () =
   | I.Prim (V.Int 4) -> ()
   | v -> Alcotest.failf "got %s" (Lm.show v)
 
+(* Stateful filters that trap inside the RTL simulator (which runs
+   them on the VM) report the bytecode path's exact message: a
+   division by zero, and a field read through a receiver that was
+   never assigned (the field-less default instance). *)
+let fpga_trap_programs =
+  [
+    ( "division by zero",
+      {|
+class Acc {
+  int total;
+  local Acc(int start) { total = start; }
+  local int push(int x) { total += x; return total / x; }
+}
+class Main {
+  static int[[]] run(int[[]] xs) {
+    int[] out = new int[xs.length];
+    var acc = new Acc(0);
+    var g = xs.source(1) => ([ task acc.push ]) => out.<int>sink();
+    g.finish();
+    return new int[[]](out);
+  }
+}
+|} );
+    ( "unset receiver",
+      {|
+class Acc {
+  int total;
+  local Acc(int start) { total = start; }
+  local int push(int x) { total += x; return total; }
+}
+class Holder { Acc acc; public Holder() {} Acc get() { return acc; } }
+class Main {
+  static int[[]] run(int[[]] xs) {
+    int[] out = new int[xs.length];
+    var acc = new Holder().get();
+    var g = xs.source(1) => ([ task acc.push ]) => out.<int>sink();
+    g.finish();
+    return new int[[]](out);
+  }
+}
+|} );
+  ]
+
+let test_fpga_trap_parity () =
+  let trap policy src =
+    let s = Lm.load ~policy src in
+    match Lm.run s "Main.run" [ Lm.int_array [| 1; 2; 0; 3 |] ] with
+    | v -> Alcotest.failf "expected a trap, got %s" (Lm.show v)
+    | exception (I.Runtime_error m | Bytecode.Vm.Vm_error m) -> m
+  in
+  List.iter
+    (fun (what, src) ->
+      let sink = Support.Trace.ring () in
+      Support.Trace.set_sink sink;
+      let on_fpga =
+        Fun.protect
+          ~finally:(fun () -> Support.Trace.set_sink Support.Trace.null)
+          (fun () ->
+            trap
+              (Runtime.Substitute.Prefer_devices [ Runtime.Artifact.Fpga ])
+              src)
+      in
+      check_bool (what ^ ": trapped in the RTL simulator") true
+        (List.exists
+           (function
+             | Support.Trace.Span { cat = "fpga"; _ } -> true
+             | _ -> false)
+           (Support.Trace.events sink));
+      Alcotest.(check string) (what ^ ": bytecode message")
+        (trap Runtime.Substitute.Bytecode_only src)
+        on_fpga)
+    fpga_trap_programs
+
 let test_infinite_rtl_guard () =
   (* A wedged netlist must hit the cycle guard, not hang. *)
   let prog =
@@ -116,7 +189,7 @@ let test_infinite_rtl_guard () =
       (List.map (fun f -> f, None) filters)
   in
   match
-    Rtl.Sim.run ~max_cycles:5 prog pl
+    Rtl.Sim.run ~max_cycles:5 (Bytecode.Compile.compile_program prog) pl
       (List.init 50 (fun _ -> V.Bit true))
   with
   | exception Rtl.Sim.Simulation_error _ -> ()
@@ -230,6 +303,7 @@ let suite =
       Alcotest.test_case "wrong arity" `Quick test_wrong_arity;
       Alcotest.test_case "negative array length" `Quick test_negative_array_length;
       Alcotest.test_case "rtl cycle guard" `Quick test_infinite_rtl_guard;
+      Alcotest.test_case "fpga trap parity" `Quick test_fpga_trap_parity;
       Alcotest.test_case "frontend error quality" `Quick
         test_stale_source_text_error_quality;
     ] )

@@ -131,6 +131,22 @@ let test_analyze_synthetic () =
       (Report.drift_verdict d)
   | _ -> Alcotest.fail "expected 1 drift row"
 
+(* The attribution table's rule must not move with the host-timed
+   [us] cells: a 1-digit and an 8-digit wall print the same rule. *)
+let test_attribution_rule_fixed () =
+  let rule wall_us =
+    let text =
+      Report.render (Report.analyze [ span ~cat:"run" "run:Main" 0.0 wall_us ])
+    in
+    let rec after_header = function
+      | "attribution (wall time):" :: _header :: rule :: _ -> rule
+      | _ :: rest -> after_header rest
+      | [] -> Alcotest.fail "no attribution table"
+    in
+    after_header (String.split_on_char '\n' text)
+  in
+  Alcotest.(check string) "1 vs 8 digits" (rule 5.0) (rule 12345678.0)
+
 let test_truncation_and_json () =
   let r = Report.analyze ~dropped:3 [ span ~cat:"run" "run:Main" 0.0 10.0 ] in
   Alcotest.(check int) "dropped recorded" 3 r.Report.rp_dropped;
@@ -265,6 +281,8 @@ let suite =
       Alcotest.test_case "slices partition" `Quick test_slices_partition;
       Alcotest.test_case "analyze synthetic" `Quick test_analyze_synthetic;
       Alcotest.test_case "truncation + json" `Quick test_truncation_and_json;
+      Alcotest.test_case "attribution rule ignores timings" `Quick
+        test_attribution_rule_fixed;
       Alcotest.test_case "attribution invariant (all workloads)" `Quick
         test_attribution_invariant;
       Alcotest.test_case "chrome round-trip" `Quick test_chrome_roundtrip;

@@ -15,6 +15,7 @@ let compile src =
     (Lime_types.Typecheck.check (Lime_syntax.Parser.parse ~file:"t" src))
 
 let fig1 = compile Test_syntax.figure1_source
+let fig1_unit = Bytecode.Compile.compile_program fig1
 
 let flip_filter () =
   match Ir.filter_sites fig1 with
@@ -65,7 +66,7 @@ let run_flip_with_vcd () =
     List.map (fun b -> V.Bit b)
       (Array.to_list (Bits.Bitvec.to_bool_array (Bits.Bitvec.of_literal bits9)))
   in
-  let outputs, stats = Rtl.Sim.run ~vcd ~clock_ns:4 fig1 (flip_pipeline ()) inputs in
+  let outputs, stats = Rtl.Sim.run ~vcd ~clock_ns:4 fig1_unit (flip_pipeline ()) inputs in
   outputs, stats, Rtl.Vcd.contents vcd
 
 let test_flip_pipeline_results () =
@@ -180,7 +181,9 @@ class P {
       (List.map (fun f -> f, None) filters)
   in
   let inputs = List.map (fun i -> V.Int i) [ 1; 2; 3; 4; 5 ] in
-  let outputs, stats = Rtl.Sim.run prog pl inputs in
+  let outputs, stats =
+    Rtl.Sim.run (Bytecode.Compile.compile_program prog) pl inputs
+  in
   check_bool "values" true
     (List.for_all2 V.equal
        (List.map (fun i -> V.Int ((2 * i) + 1)) [ 1; 2; 3; 4; 5 ])
@@ -216,7 +219,12 @@ class Main {
     Rtl.Synth.pipeline_of_chain prog ~name:"acc"
       (List.map (fun f -> f, Some receiver) filters)
   in
-  let outputs, _ = Rtl.Sim.run prog pl (List.map (fun i -> V.Int i) [ 1; 2; 3 ]) in
+  let outputs, _ =
+    Rtl.Sim.run
+      (Bytecode.Compile.compile_program prog)
+      pl
+      (List.map (fun i -> V.Int i) [ 1; 2; 3 ])
+  in
   check_bool "prefix sums through registers" true
     (List.for_all2 V.equal [ V.Int 1; V.Int 3; V.Int 6 ] outputs)
 
@@ -247,6 +255,38 @@ class C {
     | Rtl.Synth.Excluded reason ->
       check_bool "mentions FSM" true (Test_types.contains reason "FSM")
     | Rtl.Synth.Suitable -> Alcotest.fail "loops must be excluded")
+  | _ -> Alcotest.fail "expected one filter"
+
+(* A receiver field of object type has no register to live in: the
+   filter is excluded (it used to pass the check and then crash
+   Verilog generation). *)
+let test_synth_excludes_object_fields () =
+  let prog =
+    compile
+      {|
+class Box { int v; public Box(int x) { v = x; } local int val() { return v; } }
+class Holder {
+  Box b;
+  local Holder() {}
+  local int get(int x) { return b.val() + x; }
+}
+class Main {
+  static int[[]] run(int[[]] xs) {
+    int[] out = new int[xs.length];
+    var h = new Holder();
+    var g = xs.source(1) => ([ task h.get ]) => out.<int>sink();
+    g.finish();
+    return new int[[]](out);
+  }
+}
+|}
+  in
+  match Ir.filter_sites prog with
+  | [ (_, f) ] -> (
+    match Rtl.Synth.check_filter prog f with
+    | Rtl.Synth.Excluded reason ->
+      check_bool reason true (Test_types.contains reason "field b of type obj:Box")
+    | Rtl.Synth.Suitable -> Alcotest.fail "object fields must be excluded")
   | _ -> Alcotest.fail "expected one filter"
 
 let test_synth_latency_scales_with_ops () =
@@ -405,6 +445,142 @@ let test_vcd_ascii_render () =
     (List.length
        (List.filter (fun l -> l <> "") (String.split_on_char '\n' text)))
 
+(* --- golden records ------------------------------------------------------ *)
+
+(* Cycle, item, stall and occupancy counts and an MD5 of the outputs
+   per FPGA pipeline, and an MD5 of the Figure-4 VCD, all captured from
+   the IR-interpreter-backed simulator the compiled-VM one replaced.
+   They pin the exact clock semantics: any drift in FIFO visibility,
+   FSM timing, backpressure or waveform encoding changes a record. *)
+
+let stream_of_args = function
+  | [ I.Prim (V.Bits b) ] ->
+    List.map (fun x -> V.Bit x) (Array.to_list (Bits.Bitvec.to_bool_array b))
+  | [ I.Prim (V.Int_array a) ] -> List.map (fun x -> V.Int x) (Array.to_list a)
+  | [ I.Prim (V.Float_array a) ] ->
+    List.map (fun x -> V.Float x) (Array.to_list a)
+  | _ -> Alcotest.fail "expected one stream argument"
+
+(* The catalog's stateful filters are all constructed with a zero
+   initial value, which is their fields' default. *)
+let default_receiver (prog : Ir.program) (f : Ir.filter_info) =
+  match f.Ir.target with
+  | Ir.F_static _ -> None
+  | Ir.F_instance (cls, _) ->
+    let meta = Ir.String_map.find cls prog.Ir.classes in
+    Some
+      (I.Obj
+         {
+           I.obj_class = cls;
+           obj_fields =
+             Array.of_list
+               (List.map (fun (_, ty) -> I.default_value ty) meta.Ir.cm_fields);
+         })
+
+let digest_outputs outputs =
+  Digest.to_hex (Digest.string (String.concat "," (List.map V.to_string outputs)))
+
+(* workload, size, fused II=1 pipeline, FIFO depth,
+   (cycles, items, stalls, max FIFO occupancy, outputs MD5) *)
+let rtl_golden =
+  [
+    "bitflip", 64, false, 16, (194, 64, 0, 16, "4874f207654bd1c26d4f785f79b91f03");
+    "bitflip", 512, false, 16, (1538, 512, 0, 16, "22b65825ce2064ddd8d99fc7b256a79f");
+    "prefix_sum", 64, false, 16, (194, 64, 0, 16, "179c7fab69e6212232695880ac4ab742");
+    "prefix_sum", 512, false, 16, (1538, 512, 0, 16, "967e0242567641c15f1c213cdc3b0a0c");
+    "fir4", 64, false, 16, (450, 64, 0, 16, "1b2af3096ba6ed5d9afbcf7a95a08005");
+    "fir4", 512, false, 16, (3586, 512, 0, 16, "0063206ecc53acea3b12b6ac482e7308");
+    "crc8", 64, false, 16, (962, 64, 0, 16, "99b94046bfe1aa3574f1fd31aa6cf7b0");
+    "crc8", 512, false, 16, (7682, 512, 0, 16, "cee80a6a6399fcdeb80c4a1571cd5299");
+    "dsp_chain", 512, true, 16, (516, 512, 0, 1, "ef9eaebabe3110fb93e67f202be228c7");
+    "dsp_chain", 512, false, 2, (1544, 512, 0, 2, "ef9eaebabe3110fb93e67f202be228c7");
+  ]
+
+let check_record what (cycles, items, stalls, occupancy, digest)
+    (outputs, (st : Rtl.Sim.stats)) =
+  check_int (what ^ " cycles") cycles st.cycles;
+  check_int (what ^ " items") items st.items;
+  check_int (what ^ " stalls") stalls st.stalls;
+  check_int (what ^ " max FIFO occupancy") occupancy st.max_fifo_occupancy;
+  Alcotest.(check string) (what ^ " outputs") digest (digest_outputs outputs)
+
+let test_rtl_golden () =
+  List.iter
+    (fun (name, size, fused, fifo_depth, record) ->
+      let w = Workloads.find name in
+      let c = Liquid_metal.Compiler.compile w.source in
+      let prog = c.Liquid_metal.Compiler.ir in
+      let filters = List.map snd (Ir.filter_sites prog) in
+      let chain =
+        if fused then
+          match
+            Runtime.Store.find_fusion c.Liquid_metal.Compiler.store
+              ~chain:(Runtime.Artifact.chain_uid filters)
+          with
+          | Some f -> [ f, None ]
+          | None -> Alcotest.failf "%s: no fused filter" name
+        else List.map (fun f -> f, default_receiver prog f) filters
+      in
+      let pl =
+        Rtl.Synth.pipeline_of_chain prog ~name ~fifo_depth ~pipelined:fused
+          chain
+      in
+      check_record
+        (Printf.sprintf "%s@%d%s" name size (if fused then " fused" else ""))
+        record
+        (Rtl.Sim.run c.Liquid_metal.Compiler.unit_ pl
+           (stream_of_args (w.args ~size))))
+    rtl_golden
+
+(* A fast stage feeding a slow one through shallow FIFOs, unpipelined
+   and at initiation interval 1: the only records with backpressure
+   stalls. *)
+let test_rtl_golden_stalls () =
+  let prog =
+    compile
+      {|
+class C {
+  local static int cheap(int x) { return x + 1; }
+  local static int costly(int x) {
+    int a = x / 3;
+    int b = x / 5;
+    int c = x / 7;
+    return a + b + c;
+  }
+  static int[[]] run(int[[]] xs) {
+    int[] out = new int[xs.length];
+    var g = xs.source(1) => ([ task cheap ]) => ([ task costly ]) => out.<int>sink();
+    g.finish();
+    return new int[[]](out);
+  }
+}
+|}
+  in
+  let unit_ = Bytecode.Compile.compile_program prog in
+  let filters = List.map snd (Ir.filter_sites prog) in
+  List.iter
+    (fun (fifo_depth, pipelined, record) ->
+      let pl =
+        Rtl.Synth.pipeline_of_chain prog ~name:"slow" ~fifo_depth ~pipelined
+          (List.map (fun f -> f, None) filters)
+      in
+      check_record
+        (Printf.sprintf "depth %d%s" fifo_depth
+           (if pipelined then " pipelined" else ""))
+        record
+        (Rtl.Sim.run unit_ pl (List.init 64 (fun i -> V.Int ((i * 37) - 900)))))
+    [
+      1, false, (581, 64, 371, 1, "84db540c22573f7d5da34e820b53e768");
+      2, false, (581, 64, 362, 2, "84db540c22573f7d5da34e820b53e768");
+      1, true, (138, 64, 63, 1, "84db540c22573f7d5da34e820b53e768");
+      2, true, (75, 64, 0, 1, "84db540c22573f7d5da34e820b53e768");
+    ]
+
+let test_figure4_vcd_golden () =
+  let _, _, vcd = run_flip_with_vcd () in
+  Alcotest.(check string) "Figure-4 VCD" "efc1d9cb0820c3ab1b18e4fa31f4b517"
+    (Digest.to_hex (Digest.string vcd))
+
 let suite =
   ( "rtl",
     [
@@ -424,6 +600,8 @@ let suite =
       Alcotest.test_case "stateful stage registers" `Quick
         test_stateful_stage_registers;
       Alcotest.test_case "loops excluded" `Quick test_synth_excludes_loops;
+      Alcotest.test_case "object fields excluded" `Quick
+        test_synth_excludes_object_fields;
       Alcotest.test_case "latency scales with ops" `Quick
         test_synth_latency_scales_with_ops;
       Alcotest.test_case "verilog text shape" `Quick test_verilog_text_shape;
@@ -434,4 +612,7 @@ let suite =
       Alcotest.test_case "vcd reader roundtrip" `Quick test_vcd_reader_roundtrip;
       Alcotest.test_case "vcd reader value_at" `Quick test_vcd_reader_value_at;
       Alcotest.test_case "vcd ascii render" `Quick test_vcd_ascii_render;
+      Alcotest.test_case "golden rtl records" `Quick test_rtl_golden;
+      Alcotest.test_case "golden rtl stalls" `Quick test_rtl_golden_stalls;
+      Alcotest.test_case "golden figure-4 vcd" `Quick test_figure4_vcd_golden;
     ] )
